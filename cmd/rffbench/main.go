@@ -576,7 +576,7 @@ func cmdPerf(args []string) {
 		for _, n := range strings.Split(*shardProgs, ",") {
 			p := bench.MustGet(strings.TrimSpace(n))
 			rep.Shards = append(rep.Shards,
-				perf.MeasureShards(p, *shardBudget, *maxSteps, *seed, counts, false))
+				perf.MeasureShards(p, *shardBudget, *maxSteps, *seed, counts))
 		}
 	}
 	stopProf()

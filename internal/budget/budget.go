@@ -13,6 +13,7 @@
 package budget
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -293,6 +294,42 @@ func (a *Allocator) MarkDone(cell int) { a.cells[cell].Done = true }
 
 // Done reports whether a cell has been marked done.
 func (a *Allocator) Done(cell int) bool { return a.cells[cell].Done }
+
+// Result is one cell's outcome of one epoch of Run.
+type Result struct {
+	Reward
+	// Done retires the cell: it gets no budget in later epochs.
+	Done bool
+}
+
+// Run is the budgeted epoch loop. It spends pool executions over the
+// allocator's epochs — pool/Epochs each, the remainder one execution
+// apiece to the earliest epochs — and returns when the epochs run out,
+// ctx is cancelled, or no cell is left active. Each epoch, wave runs
+// the cells funded by shares (shares[i] is cell i's grant, zero for
+// done cells) and returns one Result per cell; Run feeds every live
+// cell's reward to Observe, in cell order, and retires the cells whose
+// Result is Done.
+func (a *Allocator) Run(ctx context.Context, pool int64, wave func(epoch, pool int, shares []int) []Result) {
+	epochs := int64(a.cfg.Epochs)
+	base, extra := pool/epochs, pool%epochs
+	for e := int64(0); e < epochs && ctx.Err() == nil && a.Active() > 0; e++ {
+		p := base
+		if e < extra {
+			p++
+		}
+		res := wave(int(e), int(p), a.Allocate(int(p)))
+		for i := range a.cells {
+			if a.cells[i].Done {
+				continue
+			}
+			a.Observe(i, res[i].Reward)
+			if res[i].Done {
+				a.MarkDone(i)
+			}
+		}
+	}
+}
 
 // Reallocations counts, across all epochs after the first, cells whose
 // share differed from their previous-epoch share.

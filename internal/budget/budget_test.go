@@ -1,6 +1,7 @@
 package budget
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -146,6 +147,67 @@ func TestAllDone(t *testing.T) {
 	if a.Active() != 0 {
 		t.Fatalf("Active() = %d, want 0", a.Active())
 	}
+}
+
+// TestRunEpochLoop: Run splits the pool across epochs with the
+// remainder up front, feeds rewards back to live cells only, retires
+// cells that report Done, and stops once no cell is active.
+func TestRunEpochLoop(t *testing.T) {
+	a, err := New(3, 5, Config{Policy: "uniform", Epochs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pools []int
+	a.Run(context.Background(), 30, func(epoch, pool int, shares []int) []Result {
+		pools = append(pools, pool)
+		sum := 0
+		res := make([]Result, len(shares))
+		for i, s := range shares {
+			sum += s
+			res[i].Executions = s
+			if a.Done(i) {
+				if s != 0 {
+					t.Errorf("epoch %d: done cell %d funded %d", epoch, i, s)
+				}
+				res[i].Executions = 1000 // must be ignored
+			}
+		}
+		if sum != pool {
+			t.Errorf("epoch %d: shares sum to %d, want %d", epoch, sum, pool)
+		}
+		// Cell 0 retires after epoch 0; everyone retires after epoch 2.
+		res[0].Done = true
+		if epoch == 2 {
+			for i := range res {
+				res[i].Done = true
+			}
+		}
+		return res
+	})
+	if want := []int{8, 8, 7}; !reflect.DeepEqual(pools, want) {
+		t.Fatalf("epoch pools = %v, want %v (30 over 4 epochs, stopping when all cells are done)", pools, want)
+	}
+	if a.Epoch() != 3 || a.Active() != 0 {
+		t.Fatalf("epoch %d, active %d; want 3, 0", a.Epoch(), a.Active())
+	}
+	var spent int64
+	for _, c := range a.Cells() {
+		spent += c.Spent
+	}
+	if spent != 23 {
+		t.Fatalf("cells spent %d in total, want the 23 executions granted", spent)
+	}
+
+	b, err := New(2, 5, Config{Policy: "uniform"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	b.Run(ctx, 100, func(int, int, []int) []Result {
+		t.Fatal("wave ran under a cancelled context")
+		return nil
+	})
 }
 
 // TestDeterminism: the same (policy, seed, reward stream) yields a

@@ -22,15 +22,6 @@ import (
 // allocation trace, and the budget report are bit-identical at any
 // worker count.
 
-// PairCover records the first time a (tool, program) cell covered an
-// rf-pair, at an epoch-granular global execution index: executions
-// spent by the whole matrix before the cell's epoch began, plus the
-// cell's local index within the epoch.
-type PairCover struct {
-	Pair string `json:"pair"`
-	At   int64  `json:"at"`
-}
-
 // BudgetCellReport is one (tool, program) cell's allocation record.
 type BudgetCellReport struct {
 	Tool      string `json:"tool"`
@@ -48,8 +39,10 @@ type BudgetCellReport struct {
 	Bug      bool  `json:"bug"`
 	Done     bool  `json:"done"`
 	// Covers lists first-cover events when Config.CollectCovers was
-	// set; the sched-eval harness turns these into coverage-at-
-	// checkpoint curves.
+	// set, each at an epoch-granular global execution index: executions
+	// spent by the whole matrix before the covering epoch began, plus
+	// the covering trial's local index within the epoch. The sched-eval
+	// harness turns these into coverage-at-checkpoint curves.
 	Covers []PairCover `json:"covers,omitempty"`
 }
 
@@ -67,33 +60,6 @@ type BudgetReport struct {
 	Trace         []budget.EpochAllocation `json:"trace"`
 }
 
-// pairCollector gathers one epoch cell's executions and first-seen
-// rf-pairs. Only its own fleet cell touches it during the wave; the
-// merge barrier reads it afterwards.
-type pairCollector struct {
-	execs int
-	seen  map[string]int
-	order []string
-}
-
-func newPairCollector() *pairCollector {
-	return &pairCollector{seen: make(map[string]int)}
-}
-
-func (c *pairCollector) observe(res *exec.Result) {
-	c.execs++
-	if res.Trace == nil {
-		return
-	}
-	for _, p := range res.Trace.RFPairs() {
-		k := p.String()
-		if _, ok := c.seen[k]; !ok {
-			c.seen[k] = c.execs
-			c.order = append(c.order, k)
-		}
-	}
-}
-
 // budgetedTrial is one trial's cumulative state across epochs.
 type budgetedTrial struct {
 	cum      int64
@@ -106,14 +72,13 @@ type budgetedTrial struct {
 }
 
 // budgetedPair is one allocator cell: a (tool, program) pair and its
-// trials, plus the pair's cumulative rf-pair set.
+// trials, plus the pair's cumulative first covers.
 type budgetedPair struct {
 	tool     Tool
 	toolName string
 	program  bench.Program
 	trials   []budgetedTrial
-	seen     map[string]struct{}
-	covers   []PairCover
+	cover    *CoverCollector
 	firstBug int64
 	bug      bool
 	done     bool
@@ -146,7 +111,7 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 				toolName: tl.Name(),
 				program:  p,
 				trials:   make([]budgetedTrial, trials),
-				seen:     make(map[string]struct{}),
+				cover:    NewCoverCollector(),
 			})
 		}
 	}
@@ -173,8 +138,6 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 	bcfg = alloc.Config()
 	totalPool := int64(opts.Budget) * int64(opts.Trials) * int64(len(pairs))
 	epochs := bcfg.Epochs
-	basePool := totalPool / int64(epochs)
-	extra := totalPool % int64(epochs)
 
 	if t := opts.Telemetry; t != nil {
 		t.Emit(telemetry.EvCampaignStart, telemetry.Fields{
@@ -190,13 +153,7 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 	}
 
 	var globalSpent int64
-	for e := 0; e < epochs && ctx.Err() == nil && alloc.Active() > 0; e++ {
-		pool := basePool
-		if int64(e) < extra {
-			pool++
-		}
-		shares := alloc.Allocate(int(pool))
-
+	alloc.Run(ctx, totalPool, func(e, pool int, shares []int) []budget.Result {
 		// Fan the epoch out: each funded pair's share splits evenly
 		// across its live trials (remainder to the lowest indexes),
 		// and every funded (pair, trial) becomes one fleet cell.
@@ -204,7 +161,7 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 			pair  int
 			trial int
 			share int
-			col   *pairCollector
+			col   *CoverCollector
 		}
 		var jobs []epochJob
 		for pi, share := range shares {
@@ -225,7 +182,7 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 					s++
 				}
 				if s > 0 {
-					jobs = append(jobs, epochJob{pair: pi, trial: ti, share: s, col: newPairCollector()})
+					jobs = append(jobs, epochJob{pair: pi, trial: ti, share: s, col: NewCoverCollector()})
 				}
 			}
 		}
@@ -239,7 +196,7 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 				Run: func(cctx context.Context, s *fleet.Scratch) (Outcome, error) {
 					tool := ps.tool
 					if ot, ok := tool.(ObservableTool); ok {
-						tool = ot.WithObserver(j.col.observe)
+						tool = ot.WithObserver(j.col.Observe)
 					}
 					seed := budget.EpochSeed(TrialSeed(opts.BaseSeed, ps.toolName, ps.program.Name, j.trial), e)
 					if sr, ok := tool.(scratchRunner); ok {
@@ -257,16 +214,15 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 			Telemetry:   opts.Telemetry,
 		})
 
-		// Barrier: fold the wave back in deterministic job order, then
-		// feed the allocator. Nothing below reads anything
+		// Barrier: fold the wave back in deterministic job order into
+		// one reward per pair. Nothing below reads anything
 		// scheduling-dependent.
-		epochExecs := make([]int64, len(pairs))
-		epochNew := make([]int, len(pairs))
-		epochBug := make([]bool, len(pairs))
+		rewards := make([]budget.Result, len(pairs))
 		for i, r := range results {
 			j := jobs[i]
 			ps := pairs[j.pair]
 			ts := &ps.trials[j.trial]
+			rw := &rewards[j.pair]
 			out := r.Value
 			if r.Err != nil {
 				out = Outcome{Err: r.Err.Error(), Stack: r.Stack}
@@ -274,7 +230,7 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 			if out.Found() && ts.firstBug == 0 {
 				ts.firstBug = ts.cum + int64(out.FirstBug)
 				ts.done = true
-				epochBug[j.pair] = true
+				rw.FirstBug = true
 				if cand := globalSpent + int64(out.FirstBug); ps.firstBug == 0 || cand < ps.firstBug {
 					ps.firstBug = cand
 				}
@@ -292,42 +248,26 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 			if out.UniqueSigs > 0 {
 				ts.sigs = out.UniqueSigs
 			}
-			epochExecs[j.pair] += int64(out.Executions)
-			for _, pk := range j.col.order {
-				if _, dup := ps.seen[pk]; dup {
-					continue
-				}
-				ps.seen[pk] = struct{}{}
-				epochNew[j.pair]++
-				if bcfg.CollectCovers {
-					ps.covers = append(ps.covers, PairCover{Pair: pk, At: globalSpent + int64(j.col.seen[pk])})
-				}
-			}
+			rw.Executions += out.Executions
+			rw.NewPairs += ps.cover.Merge(j.col, globalSpent)
 		}
 		var waveExecs int64
-		var waveNew int
+		var waveNew, active int
 		for pi, ps := range pairs {
 			if ps.done {
 				continue
 			}
-			alloc.Observe(pi, budget.Reward{
-				Executions: int(epochExecs[pi]),
-				NewPairs:   epochNew[pi],
-				FirstBug:   epochBug[pi],
-			})
-			allDone := true
+			ps.done = true
 			for ti := range ps.trials {
 				if !ps.trials[ti].done {
-					allDone = false
+					ps.done = false
+					active++
 					break
 				}
 			}
-			if allDone {
-				ps.done = true
-				alloc.MarkDone(pi)
-			}
-			waveExecs += epochExecs[pi]
-			waveNew += epochNew[pi]
+			rewards[pi].Done = ps.done
+			waveExecs += int64(rewards[pi].Executions)
+			waveNew += rewards[pi].NewPairs
 		}
 		globalSpent += waveExecs
 		if t := opts.Telemetry; t != nil {
@@ -337,14 +277,15 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 				"pool":       pool,
 				"executions": waveExecs,
 				"new_pairs":  waveNew,
-				"active":     alloc.Active(),
+				"active":     active,
 				"spent":      globalSpent,
 			})
 		}
 		if opts.Progress != nil {
 			opts.Progress(e+1, epochs)
 		}
-	}
+		return rewards
+	})
 
 	// Final accounting in matrix order: outcomes, trial events, and the
 	// budget report.
@@ -414,7 +355,9 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 			FirstBug:  ps.firstBug,
 			Bug:       ps.bug,
 			Done:      ps.done,
-			Covers:    ps.covers,
+		}
+		if bcfg.CollectCovers {
+			cell.Covers = ps.cover.Covers
 		}
 		if globalSpent > 0 {
 			cell.SharePct = 100 * float64(st.Spent) / float64(globalSpent)

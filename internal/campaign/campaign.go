@@ -166,10 +166,6 @@ type RFFTool struct {
 	// across reruns and shard counts, but not to the sequential loop's.
 	// 0 keeps the sequential fuzzer.
 	Shards int
-	// ShardFast drops the sharded runner's epoch barrier (shard.Options
-	// .Fast): maximum throughput, nondeterministic results. Only
-	// meaningful with Shards >= 1.
-	ShardFast bool
 }
 
 // Name implements Tool.
@@ -240,7 +236,6 @@ func (t RFFTool) runSharded(ctx context.Context, p bench.Program, budget, maxSte
 		StopAtFirstBug:  true,
 		Telemetry:       t.Telemetry,
 		Shards:          t.Shards,
-		Fast:            t.ShardFast,
 	}
 	if t.Observer != nil {
 		opts.FailureObserver = func(res *exec.Result) { t.Observer(res) }
@@ -400,9 +395,6 @@ type MatrixOptions struct {
 	BaseSeed int64
 	// Workers caps concurrent trials (0 = GOMAXPROCS).
 	Workers int
-	// Parallelism is the legacy name for Workers, honoured when Workers
-	// is 0.
-	Parallelism int
 	// TrialTimeout, if positive, arms a wall-clock deadline on every
 	// trial. Scheduler-based tools (POS, PCT, Random, Q-Learning) stop
 	// at the deadline mid-trial and record an errored outcome; other
@@ -484,9 +476,6 @@ func RunMatrixContext(ctx context.Context, tools []Tool, programs []bench.Progra
 		opts.Budget = 2000
 	}
 	workers := opts.Workers
-	if workers <= 0 {
-		workers = opts.Parallelism
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -142,7 +142,7 @@ func (o *Options) fill() {
 // behaviorSet is one program's enumerated ground truth.
 type behaviorSet struct {
 	pairs     map[string]struct{} // RFPair strings
-	failures  map[string]struct{} // failureKey strings
+	failures  map[string]struct{} // exec.Failure.Key strings
 	finals    map[string]struct{} // finalKey strings
 	execs     int
 	truncated bool
@@ -164,20 +164,12 @@ func (b *behaviorSet) add(res *exec.Result) {
 	}
 	switch {
 	case res.Failure != nil:
-		b.failures[failureKey(res.Failure)] = struct{}{}
+		b.failures[res.Failure.Key()] = struct{}{}
 	case res.Truncated:
 		b.truncated = true
 	default:
 		b.finals[finalKey(res.Trace)] = struct{}{}
 	}
-}
-
-// failureKey canonicalizes a failure for set membership. Every component
-// is deterministic for a fixed schedule: kinds and locations trivially,
-// messages because assert messages are rendered from the AST and
-// deadlock messages from the blocked threads' deterministic state.
-func failureKey(f *exec.Failure) string {
-	return fmt.Sprintf("%s|t%d|%s|%s", f.Kind, f.Thread, f.Loc, f.Msg)
 }
 
 // finalKey canonicalizes a terminated execution's final state: the
@@ -223,13 +215,13 @@ type observedFailure struct {
 	execution int
 }
 
-// collector is the per-(program, spec, trial) result observer: it
-// checks soundness online and records coverage and failures.
+// collector is the per-(program, spec, trial) result observer: on top
+// of the shared first-cover collector it checks soundness online
+// against the ground truth and records failures for the replay check.
 type collector struct {
+	*campaign.CoverCollector
 	gt         *behaviorSet
-	execs      int
-	seen       map[string]struct{} // all distinct pairs observed
-	coverTimes []int               // first-cover execution index, GT pairs only
+	gtCovers   int // first covers inside the ground truth
 	violations []Violation
 	failures   []observedFailure
 	program    string
@@ -237,31 +229,27 @@ type collector struct {
 }
 
 func newCollector(gt *behaviorSet, program, tool string) *collector {
-	return &collector{gt: gt, seen: make(map[string]struct{}), program: program, tool: tool}
+	return &collector{CoverCollector: campaign.NewCoverCollector(), gt: gt, program: program, tool: tool}
 }
 
 // observe implements campaign.ResultObserver. It must copy everything it
 // keeps: the trace is recycled after it returns.
 func (c *collector) observe(res *exec.Result) {
-	c.execs++
-	for _, p := range res.Trace.RFPairs() {
-		key := p.String()
-		if _, dup := c.seen[key]; dup {
-			continue
-		}
-		c.seen[key] = struct{}{}
-		if _, ok := c.gt.pairs[key]; ok {
-			c.coverTimes = append(c.coverTimes, c.execs)
+	n := len(c.Covers)
+	c.Observe(res)
+	for _, pc := range c.Covers[n:] {
+		if _, ok := c.gt.pairs[pc.Pair]; ok {
+			c.gtCovers++
 		} else {
 			c.violations = append(c.violations, Violation{
 				Program: c.program, Tool: c.tool, Kind: "rf-pair",
-				Detail: fmt.Sprintf("observed %s outside the enumerated set", key),
+				Detail: fmt.Sprintf("observed %s outside the enumerated set", pc.Pair),
 			})
 		}
 	}
 	switch {
 	case res.Failure != nil:
-		key := failureKey(res.Failure)
+		key := res.Failure.Key()
 		if _, ok := c.gt.failures[key]; !ok {
 			c.violations = append(c.violations, Violation{
 				Program: c.program, Tool: c.tool, Kind: "failure",
@@ -272,7 +260,7 @@ func (c *collector) observe(res *exec.Result) {
 			failure:   *res.Failure,
 			decisions: res.Trace.ThreadOrder(),
 			seed:      res.Seed,
-			execution: c.execs,
+			execution: c.Execs,
 		})
 	case res.Truncated:
 		// A truncated run is a tree-path prefix: its rf-pairs are inside
@@ -324,15 +312,15 @@ func (c *collector) replayCheck(body exec.Program, maxSteps int) (replays, faile
 			Scheduler: sched.NewReplay(art2.ThreadOrder()),
 			MaxSteps:  maxSteps,
 		})
-		if res.Failure == nil || failureKey(res.Failure) != failureKey(&f) {
+		if res.Failure == nil || res.Failure.Key() != f.Key() {
 			failed++
 			got := "no failure"
 			if res.Failure != nil {
-				got = failureKey(res.Failure)
+				got = res.Failure.Key()
 			}
 			c.violations = append(c.violations, Violation{
 				Program: c.program, Tool: c.tool, Kind: "replay",
-				Detail: fmt.Sprintf("decisions replayed to %q, want %q", got, failureKey(&f)),
+				Detail: fmt.Sprintf("decisions replayed to %q, want %q", got, f.Key()),
 			})
 		}
 	}
@@ -358,6 +346,26 @@ type cellResult struct {
 	allocated int64
 }
 
+// result runs the cell's replay check and packages its contribution to
+// the report, with coverage sampled at checkpoints cp.
+func (c *collector) result(body exec.Program, maxSteps int, cp []int, allocated int64) cellResult {
+	replays, failedReplays := c.replayCheck(body, maxSteps)
+	r := cellResult{
+		tool:           c.tool,
+		executions:     c.Execs,
+		foundBug:       len(c.failures) > 0,
+		replays:        replays,
+		replayFailures: failedReplays,
+		violations:     c.violations,
+		coverage:       CoverageAt(cp, CoverTimes(c.Covers, c.gt.pairs), len(c.gt.pairs)),
+		allocated:      allocated,
+	}
+	if r.foundBug {
+		r.firstBug = c.failures[0].execution
+	}
+	return r
+}
+
 // Checkpoints returns the coverage sampling points for a budget: powers
 // of two up to the budget, then the budget itself. A non-positive
 // budget yields the single checkpoint [budget].
@@ -367,6 +375,18 @@ func Checkpoints(budget int) []int {
 		cp = append(cp, b)
 	}
 	return append(cp, budget)
+}
+
+// CoverTimes returns the first-cover execution indexes of the covers
+// whose pair is in the ground truth gt, in cover order.
+func CoverTimes(covers []campaign.PairCover, gt map[string]struct{}) []int {
+	var times []int
+	for _, pc := range covers {
+		if _, ok := gt[pc.Pair]; ok {
+			times = append(times, int(pc.At))
+		}
+	}
+	return times
 }
 
 // CoverageAt folds first-cover execution indexes into per-checkpoint
@@ -406,15 +426,6 @@ func EnumeratePairs(ctx context.Context, name string, body exec.Program, gtBudge
 	return gt.pairs, true
 }
 
-// firstBugOf extracts a collector's first-bug execution index (0 when
-// the cell observed no failure).
-func firstBugOf(col *collector) int {
-	if len(col.failures) == 0 {
-		return 0
-	}
-	return col.failures[0].execution
-}
-
 // toolSlot is one resolved strategy spec of a run.
 type toolSlot struct {
 	spec   string
@@ -444,9 +455,7 @@ func runProgramBudgeted(ctx context.Context, opts Options, cp []int, slots []too
 	for i, id := range ids {
 		cols[i] = newCollector(gt, bp.Name, slots[id.slot].name)
 	}
-	done := make([]bool, len(ids))
 	cellErr := make([]error, len(ids))
-	bugSeen := make([]bool, len(ids))
 	prevExecs := make([]int, len(ids))
 	prevCovers := make([]int, len(ids))
 
@@ -459,18 +468,7 @@ func runProgramBudgeted(ctx context.Context, opts Options, cp []int, slots []too
 	if err != nil {
 		panic(fmt.Sprintf("conformance: %v", err))
 	}
-	epochs := alloc.Config().Epochs
-	total := int64(opts.Budget) * int64(len(ids))
-	basePool := total / int64(epochs)
-	extra := total % int64(epochs)
-
-	for e := 0; e < epochs && ctx.Err() == nil && alloc.Active() > 0; e++ {
-		pool := basePool
-		if int64(e) < extra {
-			pool++
-		}
-		shares := alloc.Allocate(int(pool))
-
+	alloc.Run(ctx, int64(opts.Budget)*int64(len(ids)), func(e, _ int, shares []int) []budget.Result {
 		type job struct{ cell, share int }
 		var jobs []job
 		for i, s := range shares {
@@ -499,66 +497,50 @@ func runProgramBudgeted(ctx context.Context, opts Options, cp []int, slots []too
 		}
 		res := fleet.Run(ctx, cells, fleet.Options{Workers: opts.Workers})
 
-		// Epoch barrier: fold outcomes and feed the allocator, both in
-		// deterministic cell order.
+		// Epoch barrier: fold outcomes into rewards in deterministic
+		// cell order.
+		rewards := make([]budget.Result, len(ids))
 		for k, r := range res {
 			i := jobs[k].cell
 			if r.Err != nil {
 				cellErr[i] = r.Err
-				done[i] = true
+				rewards[i].Done = true
 				continue
 			}
 			if out := r.Value; out.Errored() {
 				cols[i].violations = append(cols[i].violations, Violation{
 					Program: bp.Name, Tool: cols[i].tool, Kind: "trial-error", Detail: out.Err,
 				})
-				done[i] = true
+				rewards[i].Done = true
 			}
 		}
-		for i := range ids {
+		for i, col := range cols {
 			if alloc.Done(i) {
 				continue
 			}
-			col := cols[i]
-			first := false
-			if !bugSeen[i] && len(col.failures) > 0 {
-				bugSeen[i] = true
-				first = true
-				done[i] = true
-			}
-			alloc.Observe(i, budget.Reward{
-				Executions: col.execs - prevExecs[i],
-				NewPairs:   len(col.coverTimes) - prevCovers[i],
+			// A live cell has failed in no earlier epoch, so any failure
+			// is its first.
+			first := len(col.failures) > 0
+			rewards[i].Reward = budget.Reward{
+				Executions: col.Execs - prevExecs[i],
+				NewPairs:   col.gtCovers - prevCovers[i],
 				FirstBug:   first,
-			})
-			prevExecs[i] = col.execs
-			prevCovers[i] = len(col.coverTimes)
-			if done[i] {
-				alloc.MarkDone(i)
 			}
+			rewards[i].Done = rewards[i].Done || first
+			prevExecs[i] = col.Execs
+			prevCovers[i] = col.gtCovers
 		}
-	}
+		return rewards
+	})
 
 	states := alloc.Cells()
 	out := make([]fleet.Result[cellResult], len(ids))
-	for i := range ids {
+	for i, col := range cols {
 		if cellErr[i] != nil {
 			out[i] = fleet.Result[cellResult]{Err: cellErr[i]}
 			continue
 		}
-		col := cols[i]
-		replays, failedReplays := col.replayCheck(bp.Body, opts.MaxSteps)
-		out[i] = fleet.Result[cellResult]{Value: cellResult{
-			tool:           col.tool,
-			executions:     col.execs,
-			foundBug:       len(col.failures) > 0,
-			replays:        replays,
-			replayFailures: failedReplays,
-			violations:     col.violations,
-			coverage:       CoverageAt(cp, col.coverTimes, len(gt.pairs)),
-			firstBug:       firstBugOf(col),
-			allocated:      states[i].Allocated,
-		}}
+		out[i] = fleet.Result[cellResult]{Value: col.result(bp.Body, opts.MaxSteps, cp, states[i].Allocated)}
 	}
 	return out
 }
@@ -674,17 +656,7 @@ func RunContext(ctx context.Context, opts Options) *Report {
 								Program: bp.Name, Tool: slot.name, Kind: "trial-error", Detail: out.Err,
 							})
 						}
-						replays, failedReplays := col.replayCheck(bp.Body, opts.MaxSteps)
-						return cellResult{
-							tool:           slot.name,
-							executions:     col.execs,
-							foundBug:       len(col.failures) > 0,
-							replays:        replays,
-							replayFailures: failedReplays,
-							violations:     col.violations,
-							coverage:       CoverageAt(rep.Checkpoints, col.coverTimes, len(gt.pairs)),
-							firstBug:       firstBugOf(col),
-						}, nil
+						return col.result(bp.Body, opts.MaxSteps, rep.Checkpoints, 0), nil
 					},
 				})
 			}

@@ -59,25 +59,6 @@ func (c *Corpus) Add(e *Entry) (index int, added bool) {
 	return index, true
 }
 
-// Merge folds other's entries into c in other's insertion order,
-// skipping schedules already present; it returns the number of entries
-// added. Entries are inserted as copies with a reset exponential ramp
-// (ChosenSince), so power-schedule bookkeeping on the merged corpus
-// never aliases the source corpus. Iterating the insertion-ordered
-// entry slice — never a map — keeps the merged order, and therefore
-// every later round-robin pick, deterministic.
-func (c *Corpus) Merge(other *Corpus) int {
-	added := 0
-	for _, e := range other.entries {
-		cp := *e
-		cp.ChosenSince = 0
-		if _, ok := c.Add(&cp); ok {
-			added++
-		}
-	}
-	return added
-}
-
 // Len returns the corpus size.
 func (c *Corpus) Len() int { return len(c.entries) }
 

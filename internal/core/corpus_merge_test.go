@@ -39,77 +39,3 @@ func TestCorpusAddReturnsStableIndex(t *testing.T) {
 		}
 	}
 }
-
-func TestCorpusMergeDeterministicOrder(t *testing.T) {
-	// Two shard corpora with overlapping membership.
-	a := core.NewCorpus()
-	a.Add(&core.Entry{Schedule: mergeSched("s1"), Sig: 11, Perf: 2})
-	a.Add(&core.Entry{Schedule: mergeSched("s2"), Sig: 12, Perf: 3})
-
-	b := core.NewCorpus()
-	b.Add(&core.Entry{Schedule: mergeSched("s2"), Sig: 99, Perf: 9}) // dup of a's s2
-	b.Add(&core.Entry{Schedule: mergeSched("s3"), Sig: 13, Perf: 4, ChosenSince: 7})
-
-	added := a.Merge(b)
-	if added != 1 {
-		t.Fatalf("merge added %d entries, want 1 (only s3 is new)", added)
-	}
-	if a.Len() != 4 { // ε, s1, s2, s3
-		t.Fatalf("merged corpus has %d entries, want 4", a.Len())
-	}
-	// The duplicate keeps the receiver's entry untouched.
-	if e := a.Entries()[2]; e.Sig != 12 || e.Perf != 3 {
-		t.Fatalf("duplicate merge overwrote receiver entry: %+v", e)
-	}
-	// The new entry is appended last, copied, with its ramp reset.
-	last := a.Entries()[3]
-	if last.Sig != 13 || last.Perf != 4 {
-		t.Fatalf("merged entry lost its payload: %+v", last)
-	}
-	if last.ChosenSince != 0 {
-		t.Fatalf("merged entry must reset ChosenSince, got %d", last.ChosenSince)
-	}
-	if last == b.Entries()[1] {
-		t.Fatal("merge must copy entries, not alias the source corpus")
-	}
-
-	// Merging identical corpora in the same order produces the same
-	// entry sequence every time (no map-iteration dependence).
-	mergeKeys := func() []string {
-		dst := core.NewCorpus()
-		for _, src := range []*core.Corpus{a, b} {
-			dst.Merge(src)
-		}
-		var keys []string
-		for _, e := range dst.Entries() {
-			keys = append(keys, e.Schedule.Key())
-		}
-		return keys
-	}
-	first := mergeKeys()
-	for i := 0; i < 10; i++ {
-		got := mergeKeys()
-		if len(got) != len(first) {
-			t.Fatalf("merge order unstable: %d vs %d entries", len(got), len(first))
-		}
-		for j := range got {
-			if got[j] != first[j] {
-				t.Fatalf("merge order unstable at %d: %q vs %q", j, got[j], first[j])
-			}
-		}
-	}
-}
-
-func TestCorpusMergeIsIdempotent(t *testing.T) {
-	a := core.NewCorpus()
-	a.Add(&core.Entry{Schedule: mergeSched("x"), Sig: 1})
-	b := core.NewCorpus()
-	b.Add(&core.Entry{Schedule: mergeSched("y"), Sig: 2})
-
-	if added := a.Merge(b); added != 1 {
-		t.Fatalf("first merge added %d, want 1", added)
-	}
-	if added := a.Merge(b); added != 0 {
-		t.Fatalf("second merge added %d, want 0", added)
-	}
-}

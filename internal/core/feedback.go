@@ -108,30 +108,6 @@ func (f *Feedback) countSig(sig uint64, obs *Observation) {
 	f.sigCount[sig]++
 }
 
-// Merge folds other's pair and signature counts into f, translating
-// other's PairIDs through remap (nil = the tables are already shared).
-// Both first-observation orders are extended in other's insertion order
-// — never map iteration order — so merging the same feedback states in
-// the same order always yields identical SigFrequencies series.
-func (f *Feedback) Merge(other *Feedback, remap func(exec.PairID) exec.PairID) {
-	for _, pid := range other.pairOrder {
-		mapped := pid
-		if remap != nil {
-			mapped = remap(pid)
-		}
-		if f.pairCount[mapped] == 0 {
-			f.pairOrder = append(f.pairOrder, mapped)
-		}
-		f.pairCount[mapped] += other.pairCount[pid]
-	}
-	for _, sig := range other.sigOrder {
-		if f.sigCount[sig] == 0 {
-			f.sigOrder = append(f.sigOrder, sig)
-		}
-		f.sigCount[sig] += other.sigCount[sig]
-	}
-}
-
 // Interesting implements isInteresting(σmut, S): true when the execution
 // exhibited a never-before-seen reads-from pair, realized a reads-from
 // combination no corpus schedule has realized before, or crashed. The

@@ -379,18 +379,3 @@ func (f *Fuzzer) finish(rep *Report) {
 	rep.UniqueSigs = f.fb.UniqueSigs()
 	rep.SigFrequencies = f.fb.SigFrequencies()
 }
-
-// Feedback exposes the campaign's feedback state (read-only use).
-func (f *Fuzzer) Feedback() *Feedback { return f.fb }
-
-// Corpus exposes the campaign's corpus (read-only use).
-func (f *Fuzzer) Corpus() *Corpus { return f.corpus }
-
-// Pool exposes the campaign's event pool (read-only use).
-func (f *Fuzzer) Pool() *EventPool { return f.pool }
-
-// Intern exposes the campaign's abstract-event intern table — the table
-// the feedback state's PairIDs resolve through. A cross-campaign merge
-// (the sharded runner's fast mode) remaps through it into a global
-// table.
-func (f *Fuzzer) Intern() *exec.InternTable { return f.intern }

@@ -1,6 +1,9 @@
 package exec
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // FailureKind classifies the bug oracles the engine reports, mirroring the
 // paper's evaluation (assertion violations, deadlocks, memory-safety
@@ -68,4 +71,14 @@ func (f *Failure) Error() string {
 		return fmt.Sprintf("%s at %s (thread %d): %s", f.Kind, f.Loc, f.Thread, f.Msg)
 	}
 	return fmt.Sprintf("%s (thread %d): %s", f.Kind, f.Thread, f.Msg)
+}
+
+// Key is the failure's identity, "kind|t<thread>|loc|msg": the sharded
+// merge deduplicates failures on it and conformance checks it for
+// membership in a program's enumerated failure set. Every component is
+// deterministic for a fixed schedule — kinds and locations trivially,
+// messages because assert messages are rendered from the program and
+// deadlock messages from the blocked threads' deterministic state.
+func (f *Failure) Key() string {
+	return f.Kind.String() + "|t" + strconv.Itoa(int(f.Thread)) + "|" + f.Loc + "|" + f.Msg
 }

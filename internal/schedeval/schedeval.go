@@ -26,7 +26,6 @@ package schedeval
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"rff/internal/bench"
 	"rff/internal/budget"
@@ -317,14 +316,7 @@ func foldCampaign(s *policySamples, br *campaign.BudgetReport, w *workload, cp [
 	}
 	for _, cell := range br.Cells {
 		gtPairs := w.gt[cell.Program]
-		var coverTimes []int
-		for _, c := range cell.Covers {
-			if _, ok := gtPairs[c.Pair]; ok {
-				coverTimes = append(coverTimes, int(c.At))
-			}
-		}
-		sort.Ints(coverTimes)
-		curve := conformance.CoverageAt(cp, coverTimes, len(gtPairs))
+		curve := conformance.CoverageAt(cp, conformance.CoverTimes(cell.Covers, gtPairs), len(gtPairs))
 		for j, f := range curve {
 			s.covSums[j] += f
 		}

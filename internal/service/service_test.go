@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -359,6 +361,7 @@ func TestValidation(t *testing.T) {
 		`{"program":"no/such/program"}`,                    // unknown program
 		`{"program":"CS/account","tools":["warp-drive"]}`,  // unknown tool
 		`{"program":"CS/account","tools":["pct","pct:3"]}`, // duplicate after canonicalization
+		`{"program":"CS/account","tools":["pct3"]}`,        // removed alias
 		`{"program":"CS/account","budget":-1}`,             // bad budget
 		`{"progen_seed":1,"progen_count":1000}`,            // progen_count over cap
 		`{"program":"CS/account","unknown_field":true}`,    // unknown field
@@ -719,13 +722,22 @@ func TestTriageIntegration(t *testing.T) {
 		t.Fatalf("job state %q (error %q)", done.State, done.Error)
 	}
 
-	// Triage runs on the worker after the job seals; poll briefly.
+	// Triage runs on the worker after the job seals; poll briefly. The
+	// worker adds every artifact before it writes corpus.json, so a
+	// present index means the job's triage is complete and persisted.
+	persisted := func() bool {
+		_, err := os.Stat(filepath.Join(triageDir, "corpus.json"))
+		return err == nil
+	}
 	deadline := time.Now().Add(30 * time.Second)
-	for srv.triager.Len() == 0 && time.Now().Before(deadline) {
+	for (srv.triager.Len() == 0 || !persisted()) && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if srv.triager.Len() == 0 {
 		t.Fatal("no clusters after a bug-finding campaign")
+	}
+	if !persisted() {
+		t.Fatal("triage corpus never persisted")
 	}
 
 	var rep struct {

@@ -49,8 +49,8 @@ type Options struct {
 	FailureObserver func(res *exec.Result)
 
 	// Shards is the worker count W (values < 1 mean 1). Each shard owns
-	// a private intern table, recycler, and proactive scheduler; in
-	// deterministic mode the report is identical for every value.
+	// a private intern table, recycler, and proactive scheduler; the
+	// report is identical for every value.
 	Shards int
 	// Epoch is K, the steady-state number of executions planned between
 	// merge barriers (0 = DefaultEpoch). Epoch sizes ramp geometrically
@@ -65,13 +65,6 @@ type Options struct {
 	// (0 = DefaultBatch). Batching amortizes deque traffic and scheduler
 	// wakeups over several executions.
 	Batch int
-	// Fast drops the epoch barrier: every shard runs an independent
-	// fuzzing loop over a private corpus, stealing budget quotas instead
-	// of planned batches, and states merge once at the end. Roughly the
-	// throughput of W independent campaigns, but the report depends on
-	// runtime interleaving — reruns and different shard counts may
-	// differ. Use only when throughput matters more than replayability.
-	Fast bool
 }
 
 // DefaultEpoch is the executions-per-epoch used when Options.Epoch is 0.
@@ -102,9 +95,6 @@ func FuzzContext(ctx context.Context, name string, prog exec.Program, opts Optio
 	}
 	if opts.Batch <= 0 {
 		opts.Batch = DefaultBatch
-	}
-	if opts.Fast {
-		return fuzzFast(ctx, name, prog, opts)
 	}
 	return newRunner(name, prog, opts).run(ctx)
 }
@@ -413,11 +403,6 @@ func (r *runner) execOne(ctx context.Context, s *shardState, entry *core.Entry, 
 	return true
 }
 
-// failKey is the failure-signature dedup key of the merge barrier.
-func failKey(f *exec.Failure) string {
-	return f.Kind.String() + "|" + strconv.Itoa(int(f.Thread)) + "|" + f.Loc + "|" + f.Msg
-}
-
 // mergeEpoch is the barrier: fold the epoch's digests into global state
 // in global execution order. Shard-local event and pair IDs remap into
 // the campaign table, feedback and the event pool observe exactly what
@@ -465,7 +450,7 @@ func (r *runner) mergeEpoch(plan []*core.Entry, epoch int) (interrupted bool) {
 			}
 		}
 		if crashed {
-			if k := failKey(d.failure); !r.failSeen[k] {
+			if k := d.failure.Key(); !r.failSeen[k] {
 				r.failSeen[k] = true
 				rep.Failures = append(rep.Failures, core.FailureRecord{
 					Schedule:  d.mut,

@@ -193,30 +193,6 @@ func TestShardTelemetry(t *testing.T) {
 	}
 }
 
-// TestFastModeSmoke: the -fast relaxation still spends the whole budget
-// across its shards, merges shard feedback into coherent totals, and
-// finds the easy bug when asked to stop.
-func TestFastModeSmoke(t *testing.T) {
-	rep := run(t, bugFree(3), shard.Options{Budget: 300, Seed: 5, Shards: 4, Fast: true})
-	if rep.Executions != 300 {
-		t.Fatalf("fast mode ran %d executions, want the full budget", rep.Executions)
-	}
-	if rep.UniquePairs == 0 || rep.CorpusSize < 2 {
-		t.Fatalf("fast-mode merge lost feedback state: %+v", rep)
-	}
-	if len(rep.SigFrequencies) != rep.UniqueSigs {
-		t.Fatalf("merged SigFrequencies has %d series for %d sigs", len(rep.SigFrequencies), rep.UniqueSigs)
-	}
-
-	buggy := run(t, reorder(2), shard.Options{Budget: 2000, Seed: 5, Shards: 4, Fast: true, StopAtFirstBug: true})
-	if buggy.FirstBug == 0 {
-		t.Fatal("fast mode missed the reorder bug")
-	}
-	if len(buggy.Failures) == 0 {
-		t.Fatal("fast mode dropped the failure record")
-	}
-}
-
 // TestContextCancelPrefix: cancelling mid-campaign yields a merged
 // prefix — counted executions never exceed the merged epochs and the
 // report stays internally consistent.

@@ -19,12 +19,6 @@ func FuzzParseSpec(f *testing.F) {
 	} {
 		f.Add(s)
 	}
-	// Deprecated aliases print to stderr by default; a fuzzer feeding
-	// them in a loop would flood the log.
-	old := strategy.DeprecationWarning
-	strategy.DeprecationWarning = func(string) {}
-	defer func() { strategy.DeprecationWarning = old }()
-
 	f.Fuzz(func(t *testing.T, s string) {
 		sp, err := strategy.ParseSpec(s)
 		if err != nil {

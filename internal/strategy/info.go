@@ -23,7 +23,7 @@ type Info struct {
 	// Canonical is the canonical form of the bare spec ("pct:3").
 	Canonical string `json:"canonical"`
 	// Aliases lists alternative spellings that resolve to this strategy,
-	// sorted; deprecated ones are suffixed " (deprecated)".
+	// sorted.
 	Aliases []string `json:"aliases,omitempty"`
 	// Deterministic reports whether the tool runs a single trial.
 	Deterministic bool `json:"deterministic"`
@@ -33,16 +33,12 @@ type Info struct {
 // uses an empty Config, which every registered factory accepts.
 func Describe() ([]Info, error) {
 	aliasesOf := make(map[string][]string)
-	for name, al := range aliases {
-		target, err := ParseSpec(al.target)
+	for name, target := range aliases {
+		sp, err := ParseSpec(target)
 		if err != nil {
-			return nil, fmt.Errorf("alias %q has malformed target %q: %w", name, al.target, err)
+			return nil, fmt.Errorf("alias %q has malformed target %q: %w", name, target, err)
 		}
-		label := name
-		if al.deprecated {
-			label += " (deprecated)"
-		}
-		aliasesOf[target.Name] = append(aliasesOf[target.Name], label)
+		aliasesOf[sp.Name] = append(aliasesOf[sp.Name], name)
 	}
 	var out []Info
 	for _, e := range Entries() {

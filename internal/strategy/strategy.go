@@ -26,7 +26,6 @@ package strategy
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -130,9 +129,6 @@ type Config struct {
 	// is a distinct deterministic algorithm, so Shards changes results
 	// and participates in cache identity. Other strategies ignore it.
 	Shards int
-	// ShardFast drops the sharded runner's epoch barrier — fast but
-	// nondeterministic. Only meaningful with Shards >= 1.
-	ShardFast bool
 	// Budgeter, when non-nil with a non-empty Policy, runs the matrix
 	// under adaptive budget scheduling (internal/budget): the total
 	// execution pool is reallocated across (tool, program) cells at
@@ -162,22 +158,11 @@ type Entry struct {
 	Factory Factory
 }
 
-// alias maps a legacy spelling to its canonical spec string.
-type alias struct {
-	target     string
-	deprecated bool
-}
-
 var (
 	registry = map[string]Entry{}
-	aliases  = map[string]alias{}
+	// aliases maps an alternative spelling to its canonical spec string.
+	aliases = map[string]string{}
 )
-
-// DeprecationWarning is called once per resolution of a deprecated
-// alias. The default prints to stderr; tests may override it.
-var DeprecationWarning = func(msg string) {
-	fmt.Fprintln(os.Stderr, "warning: "+msg)
-}
 
 // Register adds a strategy to the registry. It panics on a duplicate or
 // invalid name — registration is an init-time programming error, not a
@@ -198,16 +183,16 @@ func Register(e Entry) {
 	registry[e.Name] = e
 }
 
-// RegisterAlias maps a legacy spelling ("pct3") to a canonical spec
-// ("pct:3"). Deprecated aliases emit a DeprecationWarning when resolved.
-func RegisterAlias(name, target string, deprecated bool) {
+// RegisterAlias maps an alternative spelling ("rff-nofb") to a
+// canonical spec ("rff:nofb").
+func RegisterAlias(name, target string) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("strategy.RegisterAlias: alias %q shadows a registered name", name))
 	}
 	if _, dup := aliases[name]; dup {
 		panic(fmt.Sprintf("strategy.RegisterAlias: duplicate alias %q", name))
 	}
-	aliases[name] = alias{target: target, deprecated: deprecated}
+	aliases[name] = target
 }
 
 // Names returns the registered strategy names, sorted. Aliases are not
@@ -231,22 +216,19 @@ func Entries() []Entry {
 	return out
 }
 
-// normalize parses a spec string, resolves aliases (warning on
-// deprecated ones), and validates + canonicalizes the arguments.
+// normalize parses a spec string, resolves aliases, and validates +
+// canonicalizes the arguments.
 func normalize(specStr string) (Spec, error) {
 	sp, err := ParseSpec(specStr)
 	if err != nil {
 		return Spec{}, err
 	}
-	if al, ok := aliases[sp.Name]; ok {
+	if target, ok := aliases[sp.Name]; ok {
 		if len(sp.Args) > 0 {
 			return Spec{}, fmt.Errorf("strategy spec %q: alias %q takes no arguments (use %q)",
-				specStr, sp.Name, al.target)
+				specStr, sp.Name, target)
 		}
-		if al.deprecated {
-			DeprecationWarning(fmt.Sprintf("strategy spec %q is deprecated; use %q", sp.Name, al.target))
-		}
-		if sp, err = ParseSpec(al.target); err != nil {
+		if sp, err = ParseSpec(target); err != nil {
 			return Spec{}, fmt.Errorf("alias %q has malformed target: %w", specStr, err)
 		}
 	}
