@@ -275,7 +275,7 @@ func (e *Engine) enabledThreads() []*Thread {
 // delivered value or a closed channel, WaitGroup waits need a zero
 // counter; everything else is always enabled.
 func (e *Engine) enabled(th *Thread) bool {
-	p := th.pending
+	p := &th.pending
 	switch p.Op {
 	case OpLock:
 		return e.objs[p.Var-1].holder == nil
@@ -338,7 +338,7 @@ func (e *Engine) chanReceiver(o *object, sender *Thread) *Thread {
 		if th == sender || th.state != tParked || th.chanMatched {
 			continue
 		}
-		p := th.pending
+		p := &th.pending
 		if p.Op == OpRecv && p.Var == o.id {
 			return th
 		}

@@ -73,13 +73,14 @@ func (s *PCT) Pick(v *exec.View) int {
 	s.step++
 	best := -1
 	bestPrio := 0
-	for i, p := range v.Enabled {
-		pr, ok := s.prio[p.Thread]
+	for i := range v.Enabled {
+		th := v.Enabled[i].Thread
+		pr, ok := s.prio[th]
 		if !ok {
 			// New threads draw a random priority above the depth band;
 			// collisions are broken by thread ID and are harmless.
 			pr = s.depth + 1 + s.rng.Intn(1<<20)
-			s.prio[p.Thread] = pr
+			s.prio[th] = pr
 		}
 		if best < 0 || pr > bestPrio {
 			best = i

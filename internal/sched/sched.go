@@ -83,8 +83,8 @@ func (s *Replay) Pick(v *exec.View) int {
 	if s.pos < len(s.order) {
 		want := s.order[s.pos]
 		s.pos++
-		for i, p := range v.Enabled {
-			if p.Thread == want {
+		for i := range v.Enabled {
+			if v.Enabled[i].Thread == want {
 				return i
 			}
 		}

@@ -211,16 +211,16 @@ func (s *icbScheduler) Begin(seed int64) {
 
 func (s *icbScheduler) Pick(v *exec.View) int {
 	defer func() { s.step++ }()
-	for _, p := range v.Enabled {
-		if p.Thread > s.maxThread {
-			s.maxThread = p.Thread
+	for i := range v.Enabled {
+		if th := v.Enabled[i].Thread; th > s.maxThread {
+			s.maxThread = th
 		}
 	}
 	// Armed preemption: switch as soon as the target is enabled.
 	if s.nextP < len(s.preemptions) && s.step >= s.preemptions[s.nextP].step {
 		want := s.preemptions[s.nextP].target
-		for i, p := range v.Enabled {
-			if p.Thread == want {
+		for i := range v.Enabled {
+			if v.Enabled[i].Thread == want {
 				s.nextP++
 				s.current = want
 				return i
@@ -228,8 +228,8 @@ func (s *icbScheduler) Pick(v *exec.View) int {
 		}
 	}
 	// Keep running the current thread while it is enabled.
-	for i, p := range v.Enabled {
-		if p.Thread == s.current {
+	for i := range v.Enabled {
+		if v.Enabled[i].Thread == s.current {
 			return i
 		}
 	}
