@@ -87,6 +87,9 @@ type Report struct {
 	Executions int
 	// FirstBug is the schedule count of the first failure (0 = none).
 	FirstBug int
+	// Failures holds the first failing execution of each distinct
+	// Failure.Key, in counted order: later executions that hit an
+	// already recorded failure count toward Executions but add no record.
 	Failures []FailureRecord
 	// CorpusSize, UniquePairs and UniqueSigs describe the final feedback
 	// state.
@@ -104,39 +107,14 @@ func (r *Report) FoundBug() bool { return r.FirstBug > 0 }
 // Fuzzer runs Algorithm 1 — the greybox concurrency fuzzing loop — on one
 // program: pick a corpus schedule and its energy, mutate it that many
 // times, execute each mutant under the proactive scheduler, and feed
-// interesting mutants back into the corpus.
+// interesting mutants back into the corpus. It is the one-worker driver
+// of Loop.
 type Fuzzer struct {
 	name string
 	prog exec.Program
 	opts Options
-
-	fb     *Feedback
-	corpus *Corpus
-	pool   *EventPool
-	sched  *Proactive
-	rng    *rand.Rand
-
-	// intern is the campaign-shared abstract-event table: every
-	// execution's trace summary resolves events to the same dense IDs,
-	// keeping feedback and pool keys comparable as plain integers.
-	intern *exec.InternTable
-	// recycler reuses trace backing arrays and engine size hints across
-	// the campaign's executions (reset-don't-reallocate).
-	recycler *exec.Recycler
-
-	tel    telemetry.Sink
-	labels []telemetry.Label // {program: name}, reused across calls
-
-	// Incremental-run state: the fuzzing loop is resumable in slices of
-	// N executions (RunN), so a sharded or quota-driven driver can
-	// interleave several campaigns' stages. rep accumulates across
-	// calls; curEntry/energyLeft carry the in-progress fuzzing stage
-	// over a RunN boundary, keeping any chunking of the budget
-	// bit-identical to one uninterrupted Run.
-	rep        *Report
-	curEntry   *Entry
-	energyLeft int
-	stopped    bool // StopAtFirstBug tripped
+	loop *Loop
+	x    Executor
 }
 
 // NewFuzzer builds a campaign for the program with the given options.
@@ -148,19 +126,18 @@ func NewFuzzer(name string, prog exec.Program, opts Options) *Fuzzer {
 	if recycler == nil {
 		recycler = exec.NewRecycler()
 	}
+	loop := NewLoop(name, opts)
 	return &Fuzzer{
-		name:     name,
-		prog:     prog,
-		opts:     opts,
-		fb:       NewFeedback(),
-		corpus:   NewCorpus(opts.InitialCorpus...),
-		pool:     NewEventPool(),
-		sched:    NewProactive(),
-		rng:      rand.New(rand.NewSource(opts.Seed)),
-		intern:   exec.NewInternTable(),
-		recycler: recycler,
-		tel:      opts.Telemetry,
-		labels:   []telemetry.Label{{Name: "program", Value: name}},
+		name: name,
+		prog: prog,
+		opts: opts,
+		loop: loop,
+		x: Executor{
+			Sched:   NewProactive(),
+			Rng:     rand.New(rand.NewSource(opts.Seed)),
+			Intern:  loop.Intern(),
+			Recycle: recycler,
+		},
 	}
 }
 
@@ -183,20 +160,9 @@ func (f *Fuzzer) RunContext(ctx context.Context) *Report {
 	return f.Finish()
 }
 
-// report returns the campaign's accumulating report, creating it on
-// first use.
-func (f *Fuzzer) report() *Report {
-	if f.rep == nil {
-		f.rep = &Report{Program: f.name}
-	}
-	return f.rep
-}
-
 // Done reports whether the campaign is over: the budget is exhausted or
 // StopAtFirstBug ended it.
-func (f *Fuzzer) Done() bool {
-	return f.stopped || f.report().Executions >= f.opts.Budget
-}
+func (f *Fuzzer) Done() bool { return f.loop.Done() }
 
 // RunN advances the campaign by up to n counted executions and returns
 // how many actually ran. It is the resumable core of the fuzzing loop:
@@ -207,36 +173,12 @@ func (f *Fuzzer) Done() bool {
 // cancelled; the cancelled partial execution is discarded as in
 // RunContext.
 func (f *Fuzzer) RunN(ctx context.Context, n int) int {
-	rep := f.report()
 	executed := 0
 	for executed < n && !f.Done() {
-		if ctx.Err() != nil {
-			return executed
-		}
-		if f.energyLeft <= 0 {
-			entry := f.corpus.PickNext()
-			energy := 1
-			if !f.opts.DisableFeedback {
-				energy = f.corpus.Energy(entry, f.fb, f.opts.Power)
-			}
-			if t := f.tel; t != nil {
-				// Bucket 0 counts skipped stages (energy 0).
-				t.Observe(telemetry.MEnergyAssigned, int64(energy), f.labels...)
-			}
-			// Zero energy skips the stage: loop around to the next pick,
-			// exactly like the sequential loop's empty inner stage.
-			f.curEntry, f.energyLeft = entry, energy
-			continue
-		}
-		f.energyLeft--
-		crashed, cancelled := f.fuzzOne(ctx, f.curEntry, rep)
-		if cancelled {
+		if ctx.Err() != nil || !f.fuzzOne(ctx, f.loop.Next()) {
 			return executed
 		}
 		executed++
-		if crashed && f.opts.StopAtFirstBug {
-			f.stopped = true
-		}
 	}
 	return executed
 }
@@ -244,115 +186,37 @@ func (f *Fuzzer) RunN(ctx context.Context, n int) int {
 // Finish finalizes the report with the current feedback statistics and
 // returns it. It may be called repeatedly; later executions refresh the
 // statistics on the same report.
-func (f *Fuzzer) Finish() *Report {
-	rep := f.report()
-	f.finish(rep)
-	return rep
-}
+func (f *Fuzzer) Finish() *Report { return f.loop.Finish() }
 
-// fuzzOne performs one iteration of the inner loop: mutate, execute,
-// observe. Reports whether the execution crashed and whether it was
-// abandoned to a cancelled ctx (in which case nothing was observed).
-func (f *Fuzzer) fuzzOne(ctx context.Context, entry *Entry, rep *Report) (crashed, cancelled bool) {
-	mut := Mutate(entry.Schedule, f.pool, f.rng, f.opts.Mutator)
-	seed := f.rng.Int63()
-	if f.opts.DisableProactive {
-		f.sched.SetSchedule(EmptySchedule()) // machines off: pure POS
-	} else {
-		f.sched.SetSchedule(mut)
-	}
-	res := exec.Run(f.name, f.prog, exec.Config{
-		Scheduler: f.sched,
-		Seed:      seed,
-		Ctx:       ctx,
-		MaxSteps:  f.opts.MaxSteps,
-		Telemetry: f.opts.Telemetry,
-		Intern:    f.intern,
-		Recycle:   f.recycler,
-	})
+// fuzzOne runs one mutant of entry, shows it to the observers and folds
+// it into the loop. It reports false when the execution was abandoned to
+// a cancelled ctx, in which case nothing was observed or counted.
+func (f *Fuzzer) fuzzOne(ctx context.Context, entry *Entry) bool {
+	mut, seed, res := f.x.Run(ctx, f.name, f.prog, &f.opts, entry, f.loop.Pool())
 	// The trace's backing arrays return to the recycler once everything
 	// below has observed it.
-	defer f.recycler.Reclaim(res.Trace)
+	defer f.x.Recycle.Reclaim(res.Trace)
 	if res.Cancelled {
-		// The execution was abandoned mid-run; its partial trace must not
-		// perturb the feedback state or count against the budget.
-		return false, true
+		return false
 	}
-	rep.Executions++
 	if f.opts.TraceObserver != nil {
 		f.observeTrace(res.Trace)
 	}
 	if f.opts.ResultObserver != nil {
 		f.opts.ResultObserver(res)
 	}
-
-	obs := f.fb.Observe(res.Trace)
-	f.pool.AddTrace(res.Trace)
-	if entry.Sig == 0 {
-		// Seed entries (ε) carry no signature until first executed; bind
-		// them to their observed combination so the power schedule can
-		// skip them once that combination is over-explored.
-		entry.Sig = obs.Sig
-	}
-
-	crashed = res.Buggy()
-	if t := f.tel; t != nil {
-		t.Add(telemetry.MSchedulesExecuted, 1, f.labels...)
-		if obs.NewPairs > 0 {
-			t.Add(telemetry.MRFPairsNew, int64(obs.NewPairs), f.labels...)
+	if t := f.loop.tel; t != nil && !f.opts.DisableProactive {
+		if n := f.x.Sched.SatisfiedCount(); n > 0 {
+			t.Add(telemetry.MConstraintSatisfied, int64(n), f.loop.labels...)
 		}
-		if obs.NewSig {
-			t.Add(telemetry.MRFCombosNew, 1, f.labels...)
-		}
-		if !f.opts.DisableProactive {
-			if n := f.sched.SatisfiedCount(); n > 0 {
-				t.Add(telemetry.MConstraintSatisfied, int64(n), f.labels...)
-			}
-			if n := f.sched.RejectedCount(); n > 0 {
-				t.Add(telemetry.MConstraintRejected, int64(n), f.labels...)
-			}
-		}
-		if crashed {
-			t.Add(telemetry.MSchedulesCrashed, 1, f.labels...)
+		if n := f.x.Sched.RejectedCount(); n > 0 {
+			t.Add(telemetry.MConstraintRejected, int64(n), f.loop.labels...)
 		}
 	}
-	if crashed {
-		rep.Failures = append(rep.Failures, FailureRecord{
-			Schedule:  mut,
-			Seed:      seed,
-			Execution: rep.Executions,
-			Failure:   res.Failure,
-			Decisions: res.Trace.ThreadOrder(),
-		})
-		if rep.FirstBug == 0 {
-			rep.FirstBug = rep.Executions
-			if t := f.tel; t != nil {
-				t.Emit(telemetry.EvFirstBug, telemetry.Fields{
-					"program":   f.name,
-					"execution": rep.Executions,
-					"kind":      res.Failure.Kind.String(),
-					"msg":       res.Failure.Msg,
-				})
-			}
-		}
-	}
-	if !f.opts.DisableFeedback && f.fb.Interesting(obs, crashed) {
-		if _, added := f.corpus.Add(&Entry{Schedule: mut, Sig: obs.Sig, Perf: obs.NewPairs}); added {
-			if t := f.tel; t != nil {
-				t.Add(telemetry.MCorpusAdds, 1, f.labels...)
-				t.Set(telemetry.MCorpusSize, int64(f.corpus.Len()), f.labels...)
-				t.Emit(telemetry.EvInteresting, telemetry.Fields{
-					"program":     f.name,
-					"execution":   rep.Executions,
-					"new_pairs":   obs.NewPairs,
-					"new_combo":   obs.NewSig,
-					"crashed":     crashed,
-					"corpus_size": f.corpus.Len(),
-				})
-			}
-		}
-	}
-	return crashed, false
+	// The execution ran on the loop's own intern table, so its summary
+	// feeds the fold as it is.
+	f.loop.Fold(entry, mut, seed, res.Trace.Summary(), res.Failure, res.Trace)
+	return true
 }
 
 // observeTrace invokes the user's TraceObserver, containing any panic it
@@ -361,21 +225,10 @@ func (f *Fuzzer) fuzzOne(ctx context.Context, entry *Entry, rep *Report) (crashe
 func (f *Fuzzer) observeTrace(tr *exec.Trace) {
 	defer func() {
 		if r := recover(); r != nil {
-			if t := f.tel; t != nil {
-				t.Add(telemetry.MObserverPanics, 1, f.labels...)
+			if t := f.loop.tel; t != nil {
+				t.Add(telemetry.MObserverPanics, 1, f.loop.labels...)
 			}
 		}
 	}()
 	f.opts.TraceObserver(tr)
-}
-
-// finish copies final feedback statistics into the report.
-func (f *Fuzzer) finish(rep *Report) {
-	if t := f.tel; t != nil {
-		t.Set(telemetry.MCorpusSize, int64(f.corpus.Len()), f.labels...)
-	}
-	rep.CorpusSize = f.corpus.Len()
-	rep.UniquePairs = f.fb.UniquePairs()
-	rep.UniqueSigs = f.fb.UniqueSigs()
-	rep.SigFrequencies = f.fb.SigFrequencies()
 }

@@ -35,7 +35,15 @@ func runWithHub(t *testing.T, prog exec.Program, opts core.Options) (*core.Repor
 }
 
 func TestFuzzerTelemetryCounters(t *testing.T) {
-	rep, snap, evs := runWithHub(t, reorder(5), core.Options{Budget: 60, Seed: 11})
+	crashes := 0
+	rep, snap, evs := runWithHub(t, reorder(5), core.Options{
+		Budget: 60, Seed: 11,
+		ResultObserver: func(res *exec.Result) {
+			if res.Buggy() {
+				crashes++
+			}
+		},
+	})
 	prog := telemetry.L("program", "prog")
 
 	if got := snap.Value(telemetry.MSchedulesExecuted, prog); got != int64(rep.Executions) {
@@ -84,8 +92,13 @@ func TestFuzzerTelemetryCounters(t *testing.T) {
 	if firstBug != 1 {
 		t.Fatalf("first-bug events = %d, want 1", firstBug)
 	}
-	if got := snap.Value(telemetry.MSchedulesCrashed, prog); got != int64(len(rep.Failures)) {
-		t.Fatalf("schedules_crashed = %d, want %d", got, len(rep.Failures))
+	// Every crashing execution counts, though Failures keeps only the
+	// first of each distinct failure.
+	if crashes <= len(rep.Failures) {
+		t.Fatalf("%d crashing executions for %d failure records: want repeats of a failure", crashes, len(rep.Failures))
+	}
+	if got := snap.Value(telemetry.MSchedulesCrashed, prog); got != int64(crashes) {
+		t.Fatalf("schedules_crashed = %d, want %d crashing executions", got, crashes)
 	}
 }
 

@@ -299,8 +299,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleEvents is the SSE bridge: the job's full event history replays
 // from event 1 (late subscribers see everything, in order), then live
 // events stream until the job reaches a terminal state or the client
-// disconnects. Event seq numbers become SSE ids, kinds become SSE
-// event names.
+// disconnects. The terminal event waits for the job to settle. Event seq
+// numbers become SSE ids, kinds become SSE event names.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -319,8 +319,21 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	replay, live, cancel := j.events.Subscribe()
 	defer cancel()
+	// send writes one event, holding the terminal event back until the
+	// job has settled, so its state, report and cache entry are in place
+	// by the time the client sees it.
+	send := func(ev telemetry.Event) bool {
+		if isTerminalKind(ev.Kind) {
+			select {
+			case <-j.settled:
+			case <-r.Context().Done():
+				return false
+			}
+		}
+		return writeSSE(w, ev) == nil
+	}
 	for _, ev := range replay {
-		if err := writeSSE(w, ev); err != nil {
+		if !send(ev) {
 			return
 		}
 	}
@@ -331,7 +344,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return // stream sealed: job reached a terminal state
 			}
-			if err := writeSSE(w, ev); err != nil {
+			if !send(ev) {
 				return
 			}
 			flusher.Flush()

@@ -25,6 +25,11 @@ const (
 	JobCancelled JobState = "cancelled"
 )
 
+// isTerminalKind reports whether an event kind ends a job's stream.
+func isTerminalKind(kind string) bool {
+	return kind == EvJobDone || kind == EvJobFailed || kind == EvJobCancelled
+}
+
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled
@@ -72,6 +77,11 @@ type Job struct {
 	entry     *store.Entry
 	cancelled bool // cancel requested (observed by queued jobs)
 	cancel    context.CancelFunc
+	// settled is closed once state is terminal and, for a done job, its
+	// index entry is written. The SSE writer holds the terminal event
+	// back until then, so a client acting on that event finds the job
+	// view, the report and the cache entry in place.
+	settled chan struct{}
 }
 
 // newJob builds a queued job with a live event bridge.
@@ -86,6 +96,7 @@ func newJob(id string, req CampaignRequest, key store.ID, canon []byte, now time
 		hub:       hub,
 		state:     JobQueued,
 		created:   now,
+		settled:   make(chan struct{}),
 	}
 }
 

@@ -147,7 +147,9 @@ func (s *Server) runJob(ctx context.Context, j *Job) (*store.Entry, error) {
 }
 
 // finishJob emits the terminal event, seals the event stream, persists
-// it as the job's coverage/event blob, and records the index entry.
+// it as the job's coverage/event blob, records the index entry, and
+// settles the job in its terminal state — only then do SSE subscribers
+// receive the terminal event.
 func (s *Server) finishJob(j *Job, entry *store.Entry, runErr error) {
 	switch {
 	case runErr == nil:
@@ -162,6 +164,9 @@ func (s *Server) finishJob(j *Job, entry *store.Entry, runErr error) {
 		j.events.Emit(EvJobFailed, telemetry.Fields{"job": j.ID, "error": runErr.Error()})
 	}
 	j.events.Close()
+	if s.testBeforeSettle != nil {
+		s.testBeforeSettle()
+	}
 
 	if runErr == nil {
 		// The event history (trial-done stream, first-bug marks, corpus
@@ -180,6 +185,7 @@ func (s *Server) finishJob(j *Job, entry *store.Entry, runErr error) {
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	defer close(j.settled)
 	j.finished = time.Now()
 	switch {
 	case runErr == nil:

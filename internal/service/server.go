@@ -77,6 +77,10 @@ type Server struct {
 	// its terminal state being recorded — the hook drain-race tests use
 	// to cancel the server inside that window deterministically.
 	testAfterRun func()
+	// testBeforeSettle, if set, runs between a job's terminal event being
+	// emitted and the job settling in its terminal state — the window in
+	// which the SSE writer must hold that event back.
+	testBeforeSettle func()
 }
 
 // New builds a server over the store, restoring any queue persisted by
@@ -280,6 +284,7 @@ func (s *Server) Submit(req CampaignRequest) (*Job, error) {
 		j.cacheHit = true
 		j.entry = entry
 		j.finished = time.Now()
+		close(j.settled)
 		s.mu.Unlock()
 		j.events.Emit(EvJobCached, telemetry.Fields{"job": j.ID, "key": key})
 		j.events.Emit(EvJobDone, telemetry.Fields{

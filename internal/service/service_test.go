@@ -155,9 +155,7 @@ func readSSE(t *testing.T, ts *httptest.Server, path string, until func(sseEvent
 	return events
 }
 
-func isTerminalEvent(ev sseEvent) bool {
-	return ev.Event == EvJobDone || ev.Event == EvJobFailed || ev.Event == EvJobCancelled
-}
+func isTerminalEvent(ev sseEvent) bool { return isTerminalKind(ev.Event) }
 
 // TestEndToEnd is the acceptance path: submit a campaign against a
 // benchmark with a known assertion bug, watch it complete over SSE,
@@ -884,5 +882,47 @@ func TestBudgetedCampaign(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("submit %s: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestTerminalEventSeesSettledJob holds a finishing job between its
+// terminal event and its terminal state, then acts on the event the way
+// a client would: the job view must already be done, the report
+// servable, and an identical resubmission a cache hit.
+func TestTerminalEventSeesSettledJob(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	srv.testBeforeSettle = func() { time.Sleep(300 * time.Millisecond) }
+	req := CampaignRequest{Program: "CS/account", Tools: []string{"rff"}, Budget: 300, Trials: 1, Seed: 7}
+
+	v := submit(t, ts, req)
+	events := readSSE(t, ts, "/v1/jobs/"+v.ID+"/events", isTerminalEvent)
+	if len(events) == 0 || events[len(events)-1].Event != EvJobDone {
+		t.Fatalf("stream did not end with %s: %+v", EvJobDone, events)
+	}
+
+	var view JobView
+	if err := json.Unmarshal(getBody(t, ts, "/v1/jobs/"+v.ID, 200), &view); err != nil {
+		t.Fatal(err)
+	}
+	if view.State != JobDone || view.Result == nil {
+		t.Fatalf("job on its terminal event: state %q, result %v", view.State, view.Result)
+	}
+	getBody(t, ts, "/v1/jobs/"+v.ID+"/report", 200)
+	if again := submit(t, ts, req); !again.CacheHit || again.State != JobDone {
+		t.Fatalf("resubmission on the terminal event: cache hit %v, state %q", again.CacheHit, again.State)
+	}
+
+	// The stored history still ends with the terminal event.
+	hist, err := srv.store.Get(view.Result.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(hist), []byte("\n"))
+	var last telemetry.Event
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+		t.Fatal(err)
+	}
+	if last.Kind != EvJobDone {
+		t.Fatalf("stored history ends with %q, want %q", last.Kind, EvJobDone)
 	}
 }

@@ -130,20 +130,21 @@ type digest struct {
 	decisions []exec.ThreadID
 }
 
+// ThreadOrder returns the failing execution's replay decisions, so the
+// digest can stand in for the recycled trace in core.Loop.Fold.
+func (d *digest) ThreadOrder() []exec.ThreadID { return d.decisions }
+
 // shardState is one worker shard's private world: its own intern table,
 // trace recycler, proactive scheduler, and RNG, so the execution hot
 // path takes no cross-shard lock. The remapper (shard table → campaign
 // table) lives here too, but is only touched by the coordinator at the
 // merge barrier.
 type shardState struct {
-	id     int
-	deque  *Deque
-	intern *exec.InternTable
-	rec    *exec.Recycler
-	sched  *core.Proactive
-	src    rand.Source
-	rng    *rand.Rand
-	remap  *exec.Remapper
+	id    int
+	deque *Deque
+	x     core.Executor
+	src   rand.Source // x.Rng's source, reseeded per execution
+	remap *exec.Remapper
 
 	// Per-epoch counters, folded into telemetry at the barrier.
 	epochExecs     int64
@@ -165,29 +166,21 @@ type runner struct {
 	name string
 	prog exec.Program
 	opts Options
+	// copts is opts in core's terms, for the loop and the executors.
+	copts core.Options
 
-	// Campaign-global state. Only the coordinator touches it: shards
-	// read the frozen corpus entries and event pool during an epoch and
-	// write nothing but their own digest slots.
-	corpus *core.Corpus
-	fb     *core.Feedback
-	pool   *core.EventPool
-	intern *exec.InternTable
-	rep    *core.Report
-
-	// Planner state, carried across epochs exactly like the sequential
-	// fuzzer carries its stage across RunN calls.
-	curEntry   *core.Entry
-	energyLeft int
-	stopped    bool
+	// loop is the campaign-global state. Only the coordinator touches it:
+	// shards read the frozen corpus entries and event pool during an
+	// epoch and write nothing but their own digest slots.
+	loop *core.Loop
 
 	shards  []*shardState
 	plan    []*core.Entry // reused epoch plan (one entry per execution)
 	digests []digest      // reused epoch digest slots
 
-	// Merge-barrier scratch.
-	pairScratch []exec.PairID
-	failSeen    map[string]bool
+	// sum is merge-barrier scratch: one digest remapped into the
+	// campaign table.
+	sum exec.Summary
 
 	tel    telemetry.Sink
 	labels []telemetry.Label
@@ -195,33 +188,43 @@ type runner struct {
 }
 
 func newRunner(name string, prog exec.Program, opts Options) *runner {
+	copts := core.Options{
+		Budget:           opts.Budget,
+		MaxSteps:         opts.MaxSteps,
+		Seed:             opts.Seed,
+		Power:            opts.Power,
+		Mutator:          opts.Mutator,
+		DisableFeedback:  opts.DisableFeedback,
+		DisableProactive: opts.DisableProactive,
+		StopAtFirstBug:   opts.StopAtFirstBug,
+		InitialCorpus:    opts.InitialCorpus,
+		Telemetry:        opts.Telemetry,
+	}
 	r := &runner{
-		name:     name,
-		prog:     prog,
-		opts:     opts,
-		corpus:   core.NewCorpus(opts.InitialCorpus...),
-		fb:       core.NewFeedback(),
-		pool:     core.NewEventPool(),
-		intern:   exec.NewInternTable(),
-		rep:      &core.Report{Program: name},
-		plan:     make([]*core.Entry, 0, opts.Epoch),
-		digests:  make([]digest, opts.Epoch),
-		failSeen: make(map[string]bool),
-		tel:      opts.Telemetry,
-		labels:   []telemetry.Label{telemetry.L("program", name)},
+		name:    name,
+		prog:    prog,
+		opts:    opts,
+		copts:   copts,
+		loop:    core.NewLoop(name, copts),
+		plan:    make([]*core.Entry, 0, opts.Epoch),
+		digests: make([]digest, opts.Epoch),
+		tel:     opts.Telemetry,
+		labels:  []telemetry.Label{telemetry.L("program", name)},
 	}
 	for i := 0; i < opts.Shards; i++ {
 		src := rand.NewSource(1) // reseeded per execution
 		s := &shardState{
-			id:     i,
-			intern: exec.NewInternTable(),
-			rec:    exec.NewRecycler(),
-			sched:  core.NewProactive(),
+			id: i,
+			x: core.Executor{
+				Sched:   core.NewProactive(),
+				Rng:     rand.New(src),
+				Intern:  exec.NewInternTable(),
+				Recycle: exec.NewRecycler(),
+			},
 			src:    src,
-			rng:    rand.New(src),
 			labels: []telemetry.Label{telemetry.L("program", name), telemetry.L("shard", strconv.Itoa(i))},
 		}
-		s.remap = exec.NewRemapper(s.intern, r.intern)
+		s.remap = exec.NewRemapper(s.x.Intern, r.loop.Intern())
 		r.shards = append(r.shards, s)
 	}
 	return r
@@ -231,11 +234,11 @@ func (r *runner) run(ctx context.Context) *core.Report {
 	r.start = time.Now()
 	epoch := 0
 	ramp := 1
-	for !r.done() && ctx.Err() == nil {
-		k := min(ramp, r.opts.Epoch, r.opts.Budget-r.rep.Executions)
+	for !r.loop.Done() && ctx.Err() == nil {
+		epochStart := r.loop.Executions()
+		k := min(ramp, r.opts.Epoch, r.opts.Budget-epochStart)
 		ramp = min(ramp*2, r.opts.Epoch)
 		plan := r.planEpoch(k)
-		epochStart := r.rep.Executions
 		r.runEpoch(ctx, plan, epochStart)
 		interrupted := r.mergeEpoch(plan, epoch)
 		epoch++
@@ -246,34 +249,14 @@ func (r *runner) run(ctx context.Context) *core.Report {
 	return r.finish()
 }
 
-func (r *runner) done() bool {
-	return r.stopped || r.rep.Executions >= r.opts.Budget
-}
-
-// planEpoch freezes the next k executions: it walks the round-robin +
-// power-schedule stage logic of the sequential loop (including the
-// zero-energy skip) against the current — merged — global state, and
-// returns the chosen entry for each of the epoch's execution slots.
+// planEpoch freezes the next k executions with the loop's stage planner.
 // Feedback does not move during an epoch, so every energy decision in
 // the plan depends only on state as of the previous barrier: this is
 // what makes the schedule independent of shard count.
 func (r *runner) planEpoch(k int) []*core.Entry {
 	plan := r.plan[:0]
 	for len(plan) < k {
-		if r.energyLeft <= 0 {
-			entry := r.corpus.PickNext()
-			energy := 1
-			if !r.opts.DisableFeedback {
-				energy = r.corpus.Energy(entry, r.fb, r.opts.Power)
-			}
-			if t := r.tel; t != nil {
-				t.Observe(telemetry.MEnergyAssigned, int64(energy), r.labels...)
-			}
-			r.curEntry, r.energyLeft = entry, energy
-			continue
-		}
-		r.energyLeft--
-		plan = append(plan, r.curEntry)
+		plan = append(plan, r.loop.Next())
 	}
 	r.plan = plan
 	return plan
@@ -362,24 +345,9 @@ func (r *runner) unclaimed() int {
 // abandoned to a cancelled ctx (the digest slot stays un-done).
 func (r *runner) execOne(ctx context.Context, s *shardState, entry *core.Entry, gidx int, d *digest) bool {
 	s.src.Seed(mixSeed(r.opts.Seed, gidx))
-	mut := core.Mutate(entry.Schedule, r.pool, s.rng, r.opts.Mutator)
-	seed := s.rng.Int63()
-	if r.opts.DisableProactive {
-		s.sched.SetSchedule(core.EmptySchedule())
-	} else {
-		s.sched.SetSchedule(mut)
-	}
-	res := exec.Run(r.name, r.prog, exec.Config{
-		Scheduler: s.sched,
-		Seed:      seed,
-		Ctx:       ctx,
-		MaxSteps:  r.opts.MaxSteps,
-		Telemetry: r.tel,
-		Intern:    s.intern,
-		Recycle:   s.rec,
-	})
+	mut, seed, res := s.x.Run(ctx, r.name, r.prog, &r.copts, entry, r.loop.Pool())
+	defer s.x.Recycle.Reclaim(res.Trace)
 	if res.Cancelled {
-		s.rec.Reclaim(res.Trace)
 		return false
 	}
 	sum := res.Trace.Summary()
@@ -395,25 +363,24 @@ func (r *runner) execOne(ctx context.Context, s *shardState, entry *core.Entry, 
 		d.decisions = res.Trace.ThreadOrder()
 	}
 	if !r.opts.DisableProactive {
-		s.epochSatisfied += int64(s.sched.SatisfiedCount())
-		s.epochRejected += int64(s.sched.RejectedCount())
+		s.epochSatisfied += int64(s.x.Sched.SatisfiedCount())
+		s.epochRejected += int64(s.x.Sched.RejectedCount())
 	}
-	s.rec.Reclaim(res.Trace)
 	d.done = true
 	return true
 }
 
-// mergeEpoch is the barrier: fold the epoch's digests into global state
-// in global execution order. Shard-local event and pair IDs remap into
-// the campaign table, feedback and the event pool observe exactly what
-// they would have seen sequentially, failure signatures deduplicate,
-// and interesting mutants join the corpus — all on the coordinator, so
-// the fold is single-threaded and its order is the plan order. Returns
-// true when the epoch was interrupted (some digest never executed);
-// everything before the gap is already merged.
+// mergeEpoch is the barrier: remap each digest's shard-local event and
+// pair IDs into the campaign table and fold it into the loop, in global
+// execution order, so feedback, event pool, failures and corpus see
+// exactly what they would have seen sequentially. The fold runs on the
+// coordinator alone and its order is the plan order. Returns true when
+// the epoch was interrupted (some digest never executed); everything
+// before the gap is already merged.
 func (r *runner) mergeEpoch(plan []*core.Entry, epoch int) (interrupted bool) {
 	start := time.Now()
-	rep := r.rep
+	sum := &r.sum
+	sum.Table = r.loop.Intern()
 	for i := range plan {
 		d := &r.digests[i]
 		if !d.done {
@@ -421,85 +388,27 @@ func (r *runner) mergeEpoch(plan []*core.Entry, epoch int) (interrupted bool) {
 			break
 		}
 		rm := r.shards[d.shard].remap
-		r.pairScratch = r.pairScratch[:0]
+		sum.Sig = d.sig
+		sum.PairIDs = sum.PairIDs[:0]
 		for _, pid := range d.pairIDs {
-			r.pairScratch = append(r.pairScratch, rm.RemapPair(pid))
+			sum.PairIDs = append(sum.PairIDs, rm.RemapPair(pid))
 		}
-		obs := r.fb.ObserveIDs(r.pairScratch, d.sig)
+		sum.EventIDs, sum.Events = sum.EventIDs[:0], sum.Events[:0]
 		for _, id := range d.eventIDs {
 			gid := rm.Remap(id)
-			r.pool.AddEvent(gid, r.intern.Event(gid))
+			sum.EventIDs = append(sum.EventIDs, gid)
+			sum.Events = append(sum.Events, sum.Table.Event(gid))
 		}
-		rep.Executions++
-		if plan[i].Sig == 0 {
-			// Seed entries bind to their first observed combination, as in
-			// the sequential loop — just one barrier later.
-			plan[i].Sig = obs.Sig
+		if d.failure != nil && r.opts.FailureObserver != nil {
+			r.opts.FailureObserver(&exec.Result{
+				Program: r.name,
+				Seed:    d.seed,
+				Trace:   &exec.Trace{Decisions: d.decisions},
+				Failure: d.failure,
+			})
 		}
-		crashed := d.failure != nil
-		if t := r.tel; t != nil {
-			t.Add(telemetry.MSchedulesExecuted, 1, r.labels...)
-			if obs.NewPairs > 0 {
-				t.Add(telemetry.MRFPairsNew, int64(obs.NewPairs), r.labels...)
-			}
-			if obs.NewSig {
-				t.Add(telemetry.MRFCombosNew, 1, r.labels...)
-			}
-			if crashed {
-				t.Add(telemetry.MSchedulesCrashed, 1, r.labels...)
-			}
-		}
-		if crashed {
-			if k := d.failure.Key(); !r.failSeen[k] {
-				r.failSeen[k] = true
-				rep.Failures = append(rep.Failures, core.FailureRecord{
-					Schedule:  d.mut,
-					Seed:      d.seed,
-					Execution: rep.Executions,
-					Failure:   d.failure,
-					Decisions: d.decisions,
-				})
-			}
-			if r.opts.FailureObserver != nil {
-				r.opts.FailureObserver(&exec.Result{
-					Program: r.name,
-					Seed:    d.seed,
-					Trace:   &exec.Trace{Decisions: d.decisions},
-					Failure: d.failure,
-				})
-			}
-			if rep.FirstBug == 0 {
-				rep.FirstBug = rep.Executions
-				if t := r.tel; t != nil {
-					t.Emit(telemetry.EvFirstBug, telemetry.Fields{
-						"program":   r.name,
-						"execution": rep.Executions,
-						"kind":      d.failure.Kind.String(),
-						"msg":       d.failure.Msg,
-					})
-				}
-			}
-			if r.opts.StopAtFirstBug {
-				r.stopped = true
-			}
-		}
-		if !r.opts.DisableFeedback && r.fb.Interesting(obs, crashed) {
-			if _, added := r.corpus.Add(&core.Entry{Schedule: d.mut, Sig: obs.Sig, Perf: obs.NewPairs}); added {
-				if t := r.tel; t != nil {
-					t.Add(telemetry.MCorpusAdds, 1, r.labels...)
-					t.Set(telemetry.MCorpusSize, int64(r.corpus.Len()), r.labels...)
-					t.Emit(telemetry.EvInteresting, telemetry.Fields{
-						"program":     r.name,
-						"execution":   rep.Executions,
-						"new_pairs":   obs.NewPairs,
-						"new_combo":   obs.NewSig,
-						"crashed":     crashed,
-						"corpus_size": r.corpus.Len(),
-					})
-				}
-			}
-		}
-		if r.stopped {
+		r.loop.Fold(plan[i], d.mut, d.seed, sum, d.failure, d)
+		if r.loop.Done() {
 			// Deterministic truncation: executions planned after the first
 			// bug are discarded un-merged, whichever shard ran them.
 			break
@@ -525,23 +434,18 @@ func (r *runner) mergeEpoch(plan []*core.Entry, epoch int) (interrupted bool) {
 		t.Emit(telemetry.EvEpochMerge, telemetry.Fields{
 			"program":     r.name,
 			"epoch":       epoch,
-			"executions":  rep.Executions,
-			"corpus_size": r.corpus.Len(),
+			"executions":  r.loop.Executions(),
+			"corpus_size": r.loop.CorpusLen(),
 		})
 	}
 	return interrupted
 }
 
-// finish copies final feedback statistics into the report and publishes
-// the utilization gauge.
+// finish finalizes the loop's report and publishes the utilization
+// gauge.
 func (r *runner) finish() *core.Report {
-	rep := r.rep
-	rep.CorpusSize = r.corpus.Len()
-	rep.UniquePairs = r.fb.UniquePairs()
-	rep.UniqueSigs = r.fb.UniqueSigs()
-	rep.SigFrequencies = r.fb.SigFrequencies()
+	rep := r.loop.Finish()
 	if t := r.tel; t != nil {
-		t.Set(telemetry.MCorpusSize, int64(rep.CorpusSize), r.labels...)
 		wall := time.Since(r.start)
 		if wall > 0 {
 			var busy time.Duration

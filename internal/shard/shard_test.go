@@ -115,18 +115,43 @@ func TestDeterministicWithBug(t *testing.T) {
 }
 
 // TestFailureDedupWithoutStop lets the campaign keep running past
-// failures: every failing execution still counts, but the Failures list
-// holds one record per distinct failure signature.
+// failures, on both the sharded runner and the sequential fuzzer: every
+// failing execution still counts, but the Failures list holds one record
+// per distinct failure signature — the first failing execution of it.
 func TestFailureDedupWithoutStop(t *testing.T) {
-	rep := run(t, reorder(2), shard.Options{Budget: 300, Seed: 3, Epoch: 64, Shards: 2})
-	if rep.FirstBug == 0 {
-		t.Fatal("expected the reorder bug within 300 executions")
+	drivers := []struct {
+		name string
+		run  func(observe func(*exec.Result)) *core.Report
+	}{
+		{"shard", func(observe func(*exec.Result)) *core.Report {
+			return run(t, reorder(2), shard.Options{Budget: 300, Seed: 3, Epoch: 64, Shards: 2, FailureObserver: observe})
+		}},
+		{"core", func(observe func(*exec.Result)) *core.Report {
+			return core.NewFuzzer("prog", reorder(2), core.Options{Budget: 300, Seed: 3, ResultObserver: observe}).Run()
+		}},
 	}
-	if rep.Executions != 300 {
-		t.Fatalf("without StopAtFirstBug the campaign must run its budget, ran %d", rep.Executions)
-	}
-	if len(rep.Failures) != 1 {
-		t.Fatalf("identical assertion failures must dedup to one record, got %d", len(rep.Failures))
+	for _, d := range drivers {
+		crashes := 0
+		rep := d.run(func(res *exec.Result) {
+			if res.Buggy() {
+				crashes++
+			}
+		})
+		if rep.FirstBug == 0 {
+			t.Fatalf("%s: expected the reorder bug within 300 executions", d.name)
+		}
+		if rep.Executions != 300 {
+			t.Fatalf("%s: without StopAtFirstBug the campaign must run its budget, ran %d", d.name, rep.Executions)
+		}
+		if crashes < 2 {
+			t.Fatalf("%s: %d failing executions, want repeats of the one failure", d.name, crashes)
+		}
+		if len(rep.Failures) != 1 {
+			t.Fatalf("%s: identical assertion failures must dedup to one record, got %d", d.name, len(rep.Failures))
+		}
+		if got := rep.Failures[0].Execution; got != rep.FirstBug {
+			t.Fatalf("%s: the record is execution %d, want the first failing one (%d)", d.name, got, rep.FirstBug)
+		}
 	}
 }
 

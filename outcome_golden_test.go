@@ -10,6 +10,8 @@
 package repro
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -19,9 +21,11 @@ import (
 	"rff/internal/budget"
 	"rff/internal/campaign"
 	"rff/internal/conformance"
+	"rff/internal/core"
 	"rff/internal/schedeval"
 	"rff/internal/shard"
 	"rff/internal/strategy"
+	"rff/internal/telemetry"
 )
 
 func jsonDigest(t *testing.T, v any) string {
@@ -146,4 +150,89 @@ func TestGoldenShardDigest(t *testing.T) {
 		t.Fatal("sharded campaign recorded no failure")
 	}
 	checkDigest(t, "shard", rep, "b5185154382edc31907323f4a94f4ee157d7491e84ed445704297cc5163d5a20")
+}
+
+// goldenSequentialReports pins the JSON of sequential core.Report
+// campaigns that keep fuzzing past their first bug. Failures holds the
+// first failing execution of each distinct failure key, so the digests
+// also pin the failure policy the sequential and sharded loops share.
+var goldenSequentialReports = map[string]string{
+	"CS/account":     "bbb57ef14e3e963074de482bb5c72de40e18cb798fdec929fed41550340785d4",
+	"CS/twostage_20": "8529d23a4affa7c32dcb38f860f4349afa66581bdcc87275bec6832296d84e50",
+}
+
+func TestGoldenSequentialReportDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two 600-schedule campaigns")
+	}
+	for name, want := range goldenSequentialReports {
+		p := bench.MustGet(name)
+		rep := core.NewFuzzer(p.Name, p.Body, core.Options{Budget: 600, Seed: 11}).Run()
+		if len(rep.Failures) == 0 {
+			t.Fatalf("%s: campaign recorded no failure", name)
+		}
+		checkDigest(t, "sequential/"+name, rep, want)
+	}
+}
+
+// telemetryDigest digests a campaign's metric snapshot and JSONL event
+// stream with the fields that vary run to run removed: event timestamps,
+// the merge-time histogram, the utilization gauge, and the per-shard
+// series, which depend on which shard claimed which batch.
+func telemetryDigest(t *testing.T, snap telemetry.Snapshot, events []byte) string {
+	t.Helper()
+	var metrics []telemetry.Metric
+	for _, m := range snap.Metrics {
+		switch {
+		case m.Name == telemetry.MShardMergeNS, m.Name == telemetry.MShardUtilization, m.Labels["shard"] != "":
+			continue
+		}
+		metrics = append(metrics, m)
+	}
+	var evs []map[string]any
+	sc := bufio.NewScanner(bytes.NewReader(events))
+	for sc.Scan() {
+		var ev map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad event line %q: %v", sc.Text(), err)
+		}
+		delete(ev, "ts")
+		evs = append(evs, ev)
+	}
+	if len(evs) == 0 {
+		t.Fatal("campaign emitted no events")
+	}
+	return jsonDigest(t, map[string]any{"metrics": metrics, "events": evs})
+}
+
+// TestGoldenCampaignTelemetryDigests pins the telemetry of one
+// sequential and one 2-shard campaign: both loops must keep emitting the
+// same counters, histograms and first-bug/interesting/epoch events.
+func TestGoldenCampaignTelemetryDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two instrumented campaigns")
+	}
+	p := bench.MustGet("CS/account")
+	cases := []struct {
+		name string
+		want string
+		run  func(telemetry.Sink)
+	}{
+		{"sequential", "858b1d0bc47e4b55c94eb6349fb84b6517150841d19c53351879a28d8dc18f23", func(s telemetry.Sink) {
+			core.NewFuzzer(p.Name, p.Body, core.Options{Budget: 600, Seed: 11, Telemetry: s}).Run()
+		}},
+		{"shards=2", "7346c799301b5baadc72972a6c7055bd922c5f47d13336fe76d453649ee92571", func(s telemetry.Sink) {
+			shard.Fuzz(p.Name, p.Body, shard.Options{Budget: 600, Seed: 11, Shards: 2, Telemetry: s})
+		}},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		hub := telemetry.NewHub()
+		hub.Events = telemetry.NewEventWriter(&buf)
+		c.run(hub)
+		hub.Flush()
+		if got := telemetryDigest(t, hub.Snapshot(), buf.Bytes()); got != c.want {
+			t.Errorf("telemetry/%s: digest %s, want %s", c.name, got, c.want)
+		}
+	}
 }
